@@ -51,9 +51,7 @@ ClusterEngine::ClusterEngine(ClusterConfig config,
                              int num_threads)
     : seed_(config.seed),
       router_(std::move(router)),
-      pool_(ThreadPool::ResolveThreads(num_threads)),
-      advance_mode_(config.advance_mode),
-      advance_slice_events_(config.advance_slice_events)
+      pool_(ThreadPool::ResolveThreads(num_threads))
 {
     POD_CHECK_ARG(!config.replicas.empty(),
                   "fleet needs at least one replica");
@@ -125,23 +123,17 @@ ClusterEngine::EnableProfiling(bool on)
     pool_.EnableProfiling(on);
 }
 
-bool
+void
 ClusterEngine::AdvanceReplica(size_t r, double horizon,
-                              long max_events, ReplicaAccum& accum)
+                              ReplicaAccum& accum)
 {
     // Strictly-before: an event *at* the horizon belongs after the
     // routing decision, matching the serial loop's
     // `arrival_time <= t_step` routing condition. The replica touches
     // only its own engine, RNG stream and accumulator, so this body
-    // is race-free and schedule-independent by construction. A slice
-    // boundary (max_events reached) carries no loop state: re-entry
-    // re-evaluates NextEventTime() and continues the identical Step()
-    // sequence, so slice size can never change results.
+    // is race-free and schedule-independent by construction.
     serve::ServingEngine& replica = replicas_[r];
-    long events = 0;
     while (replica.NextEventTime() < horizon) {
-        if (max_events > 0 && events == max_events) return false;
-        ++events;
         serve::StepResult result = replica.Step();
         if (!result.progressed) continue;
         accum.busy_time += result.duration;
@@ -150,7 +142,6 @@ ClusterEngine::AdvanceReplica(size_t r, double horizon,
         accum.kv_util_sum += result.kv_utilization;
         accum.kv_util_samples += 1;
     }
-    return true;
 }
 
 ClusterMetricsReport
@@ -205,51 +196,29 @@ ClusterEngine::Run(std::vector<serve::Request> requests)
                                    : kInf;
 
         // ---- Phase 2: parallel advance to the horizon. ----
-        // Cheap serial pre-scan: most arrivals land with no replica
-        // event before them (e.g. offline traces queue everything at
-        // t=0), and skipping the pool round keeps routing-bound
-        // phases at O(R) instead of a barrier per request.
-        bool any_work = false;
+        // Seed only replicas with pre-horizon work, costed by their
+        // pending token backlog — a pure scheduling hint
+        // (docs/DESIGN.md S8.4): it decides which thread advances a
+        // replica, never what the replica computes. Most arrivals
+        // land with no replica event before them (e.g. offline traces
+        // queue everything at t=0), and skipping the pool round then
+        // keeps routing-bound phases at O(R) instead of a barrier per
+        // request.
+        seed_scratch_.clear();
         for (size_t r = 0; r < num_replicas; ++r) {
             if (replicas_[r].NextEventTime() < horizon) {
-                any_work = true;
-                break;
+                seed_scratch_.push_back(
+                    {static_cast<int>(r),
+                     static_cast<double>(
+                         replicas_[r].PendingWorkTokens())});
             }
         }
-        if (any_work) {
+        if (!seed_scratch_.empty()) {
             const double t0 = prof ? telemetry::WallSeconds() : 0.0;
-            if (advance_mode_ == AdvanceMode::kWorkStealing &&
-                pool_.NumThreads() > 1) {
-                // Seed only replicas with pre-horizon work, costed by
-                // their pending token backlog — a pure scheduling
-                // hint (docs/DESIGN.md S8.4): it biases which deque a
-                // replica lands on, never what it computes.
-                seed_scratch_.clear();
-                for (size_t r = 0; r < num_replicas; ++r) {
-                    if (replicas_[r].NextEventTime() < horizon) {
-                        seed_scratch_.push_back(
-                            {static_cast<int>(r),
-                             static_cast<double>(
-                                 replicas_[r].PendingWorkTokens())});
-                    }
-                }
-                pool_.ParallelForTasks(
-                    seed_scratch_, [&](int r) {
-                        return AdvanceReplica(
-                            static_cast<size_t>(r), horizon,
-                            advance_slice_events_,
-                            accum[static_cast<size_t>(r)]);
-                    });
-            } else {
-                // Single-shot baseline (and the 1-thread serial loop,
-                // where slicing would only add bookkeeping).
-                pool_.ParallelFor(
-                    static_cast<int>(num_replicas), [&](int r) {
-                        AdvanceReplica(static_cast<size_t>(r), horizon,
-                                       0,
-                                       accum[static_cast<size_t>(r)]);
-                    });
-            }
+            pool_.ParallelForTasks(seed_scratch_, [&](int r) {
+                AdvanceReplica(static_cast<size_t>(r), horizon,
+                               accum[static_cast<size_t>(r)]);
+            });
             if (prof) {
                 profile_.advance.Accumulate(t0);
                 ++profile_.pool_rounds;

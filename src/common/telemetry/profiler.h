@@ -41,16 +41,14 @@ struct PhaseStat
 
 /**
  * One executing thread's split of an epoch-structured parallel
- * region: `busy` is time spent running tasks claimed from its own
- * share (static index range or own deque), `barrier_wait` is time
- * between finishing its share and the epoch's last task completing.
- * Under the work-stealing mode (docs/DESIGN.md S8.4) `steal_busy`
- * separates time spent executing slices stolen from another thread's
- * deque — work that under single-shot scheduling would have been
- * barrier wait — and `steals` counts those stolen executions. The
+ * region (docs/DESIGN.md S8.4): `busy` is time spent running tasks
+ * seeded onto its own deque, `steal_busy` time spent running tasks
+ * it stole from another thread's deque — work that would otherwise
+ * have left it idle at the barrier — and `barrier_wait` time between
+ * its last task finishing and the epoch's last task completing. The
  * three time buckets are disjoint: busy + steal_busy + barrier_wait
- * covers the thread's epoch residency. `tasks` counts every task
- * execution (each work-stealing slice counts once, stolen or not).
+ * covers the thread's epoch residency. `tasks` counts every task the
+ * thread ran, stolen or not; `steals` counts the stolen ones.
  *
  * New fields go after `tasks`: aggregate initialization
  * (`ThreadStat{busy, wait, tasks}`) is part of the de-facto API.
@@ -76,7 +74,8 @@ struct ClusterProfile
     /** Whole Run() call. */
     PhaseStat run;
 
-    /** ParallelFor rounds actually dispatched (pre-scan hits skip). */
+    /** Pool rounds actually dispatched (arrivals with no replica
+     * work before them skip the pool). */
     long pool_rounds = 0;
 
     /** Per-executing-thread busy/wait, index 0 = the caller. */

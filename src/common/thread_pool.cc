@@ -49,8 +49,8 @@ void
 ThreadPool::EnableProfiling(bool on)
 {
     // The mutex pairs this write with the workers' epoch-wait
-    // acquisition; the contract (call between ParallelFor rounds from
-    // the driving thread) rules out mid-epoch toggles.
+    // acquisition; the contract (call between rounds from the driving
+    // thread) rules out mid-epoch toggles.
     std::lock_guard<std::mutex> lock(mu_);
     profiling_ = on;
 }
@@ -75,42 +75,6 @@ ThreadPool::ResetProfile()
 
 void
 ThreadPool::RunTasks(int slot)
-{
-    // Dynamic index claiming: fine for this library's use, where a
-    // "task" is advancing one replica for a whole time window (coarse
-    // and uneven), so stealing granularity matters more than locality.
-    const bool prof = profiling_;
-    double busy = 0.0;
-    long tasks = 0;
-    int i;
-    while ((i = next_.fetch_add(1, std::memory_order_relaxed)) <
-           count_) {
-        const double t0 = prof ? telemetry::WallSeconds() : 0.0;
-        try {
-            (*task_)(i);
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (!error_) error_ = std::current_exception();
-        }
-        if (prof) {
-            busy += telemetry::WallSeconds() - t0;
-            ++tasks;
-        }
-    }
-    if (prof) {
-        // Timestamp the moment this thread ran out of work; after the
-        // barrier the caller turns it into barrier-wait time.
-        const double finished = telemetry::WallSeconds();
-        const auto s = static_cast<size_t>(slot);
-        std::lock_guard<std::mutex> lock(mu_);
-        profile_[s].busy += busy;
-        profile_[s].tasks += tasks;
-        finish_time_[s] = finished;
-    }
-}
-
-void
-ThreadPool::RunStealTasks(int slot)
 {
     const bool prof = profiling_;
     double busy = 0.0;
@@ -144,24 +108,16 @@ ThreadPool::RunStealTasks(int slot)
                 }
             }
         }
-        if (index < 0) {
-            // Nothing queued anywhere. Any still-unfinished task is
-            // executing on some thread right now, and a not-done
-            // slice requeues to the *front of its executor's own
-            // deque* — the executor pops it straight back, so no
-            // durable work can reappear for us. Leaving the epoch is
-            // safe and keeps idle threads parked instead of spinning.
-            break;
-        }
+        // Nothing queued anywhere: only the caller seeds deques, so no
+        // work can reappear this epoch. Leaving keeps idle threads
+        // parked instead of spinning.
+        if (index < 0) break;
         const double t0 = prof ? telemetry::WallSeconds() : 0.0;
-        bool done = true;
         try {
-            done = (*resumable_)(index);
+            (*task_)(index);
         } catch (...) {
             std::lock_guard<std::mutex> lock(mu_);
             if (!error_) error_ = std::current_exception();
-            // A throwing slice counts as finished: requeuing it would
-            // likely rethrow forever. `done` stays true.
         }
         if (prof) {
             const double dt = telemetry::WallSeconds() - t0;
@@ -173,12 +129,10 @@ ThreadPool::RunStealTasks(int slot)
             }
             ++tasks;
         }
-        if (!done) {
-            std::lock_guard<std::mutex> lock(own.mu);
-            own.items.push_front(index);
-        }
     }
     if (prof) {
+        // Timestamp the moment this thread ran out of work; after the
+        // barrier the caller turns it into barrier-wait time.
         const double finished = telemetry::WallSeconds();
         const auto s = static_cast<size_t>(slot);
         std::lock_guard<std::mutex> lock(mu_);
@@ -195,7 +149,6 @@ ThreadPool::WorkerLoop(int slot)
 {
     long seen_epoch = 0;
     while (true) {
-        bool stealing;
         {
             std::unique_lock<std::mutex> lock(mu_);
             work_cv_.wait(lock, [&] {
@@ -203,13 +156,8 @@ ThreadPool::WorkerLoop(int slot)
             });
             if (stop_) return;
             seen_epoch = epoch_;
-            stealing = stealing_;
         }
-        if (stealing) {
-            RunStealTasks(slot);
-        } else {
-            RunTasks(slot);
-        }
+        RunTasks(slot);
         {
             std::lock_guard<std::mutex> lock(mu_);
             ++workers_done_;
@@ -219,29 +167,51 @@ ThreadPool::WorkerLoop(int slot)
 }
 
 void
-ThreadPool::ParallelFor(int count, const std::function<void(int)>& task)
+ThreadPool::ParallelForTasks(const std::vector<SeededTask>& tasks,
+                             const std::function<void(int)>& task)
 {
-    if (count <= 0) return;
-    if (num_threads_ == 1 || count == 1) {
-        // Inline degenerate path: no synchronization, exceptions
-        // propagate directly. Everything is caller busy time.
+    if (tasks.empty()) return;
+
+    // LPT order: descending estimate, stable so ties keep caller
+    // order — scheduling stays deterministic for a given input.
+    sorted_.assign(tasks.begin(), tasks.end());
+    std::stable_sort(sorted_.begin(), sorted_.end(),
+                     [](const SeededTask& a, const SeededTask& b) {
+                         return a.estimated_work > b.estimated_work;
+                     });
+
+    if (num_threads_ == 1 || tasks.size() == 1) {
+        // Inline degenerate path: no synchronization, tasks run in
+        // seeded order on the caller, exceptions propagate directly.
+        // Everything is caller busy time.
         const bool prof = profiling_;
         const double t0 = prof ? telemetry::WallSeconds() : 0.0;
-        for (int i = 0; i < count; ++i) task(i);
+        for (const SeededTask& t : sorted_) task(t.index);
         if (prof) {
             profile_[0].busy += telemetry::WallSeconds() - t0;
-            profile_[0].tasks += count;
+            profile_[0].tasks += static_cast<long>(sorted_.size());
         }
         return;
     }
 
     {
         std::lock_guard<std::mutex> lock(mu_);
+        // Greedy LPT bin-packing: each task (fattest first) onto the
+        // currently least-loaded deque. Owners pop from the front, so
+        // every thread starts on its fattest seed. The floor keeps
+        // all-zero estimates spreading round-robin instead of piling
+        // onto deque 0.
+        load_.assign(static_cast<size_t>(num_threads_), 0.0);
+        for (const SeededTask& t : sorted_) {
+            size_t best = 0;
+            for (size_t s = 1; s < load_.size(); ++s) {
+                if (load_[s] < load_[best]) best = s;
+            }
+            deques_[best]->items.push_back(t.index);
+            load_[best] += std::max(t.estimated_work, 1.0);
+        }
         task_ = &task;
-        count_ = count;
-        next_.store(0, std::memory_order_relaxed);
         workers_done_ = 0;
-        stealing_ = false;
         error_ = nullptr;
         ++epoch_;
     }
@@ -263,87 +233,6 @@ ThreadPool::ParallelFor(int count, const std::function<void(int)>& task)
             // Every executing thread has stamped finish_time_ by now
             // (workers increment workers_done_ only after RunTasks);
             // the gap to the epoch's end is its barrier wait.
-            const double epoch_end = telemetry::WallSeconds();
-            for (size_t s = 0; s < profile_.size(); ++s) {
-                profile_[s].barrier_wait += epoch_end - finish_time_[s];
-            }
-        }
-    }
-    if (error) std::rethrow_exception(error);
-}
-
-void
-ThreadPool::ParallelForTasks(const std::vector<SeededTask>& tasks,
-                             const std::function<bool(int)>& task)
-{
-    if (tasks.empty()) return;
-
-    // LPT order: descending estimate, stable so ties keep caller
-    // order — scheduling stays deterministic for a given input.
-    sorted_.assign(tasks.begin(), tasks.end());
-    std::stable_sort(sorted_.begin(), sorted_.end(),
-                     [](const SeededTask& a, const SeededTask& b) {
-                         return a.estimated_work > b.estimated_work;
-                     });
-
-    if (num_threads_ == 1 || tasks.size() == 1) {
-        // Inline degenerate path: each task runs to completion in
-        // seeded order on the caller; exceptions propagate directly.
-        const bool prof = profiling_;
-        const double t0 = prof ? telemetry::WallSeconds() : 0.0;
-        long executions = 0;
-        for (const SeededTask& t : sorted_) {
-            bool done = false;
-            while (!done) {
-                done = task(t.index);
-                ++executions;
-            }
-        }
-        if (prof) {
-            profile_[0].busy += telemetry::WallSeconds() - t0;
-            profile_[0].tasks += executions;
-        }
-        return;
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        // Greedy LPT bin-packing: each task (fattest first) onto the
-        // currently least-loaded deque. Owners pop from the front, so
-        // every thread starts on its fattest seed. The floor keeps
-        // all-zero estimates spreading round-robin instead of piling
-        // onto deque 0.
-        load_.assign(static_cast<size_t>(num_threads_), 0.0);
-        for (const SeededTask& t : sorted_) {
-            size_t best = 0;
-            for (size_t s = 1; s < load_.size(); ++s) {
-                if (load_[s] < load_[best]) best = s;
-            }
-            deques_[best]->items.push_back(t.index);
-            load_[best] += std::max(t.estimated_work, 1.0);
-        }
-        resumable_ = &task;
-        workers_done_ = 0;
-        stealing_ = true;
-        error_ = nullptr;
-        ++epoch_;
-    }
-    work_cv_.notify_all();
-
-    RunStealTasks(0);  // the caller is one of the executing threads
-
-    std::exception_ptr error;
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        done_cv_.wait(lock, [&] {
-            return workers_done_ ==
-                   static_cast<int>(workers_.size());
-        });
-        resumable_ = nullptr;
-        stealing_ = false;
-        error = error_;
-        error_ = nullptr;
-        if (profiling_) {
             const double epoch_end = telemetry::WallSeconds();
             for (size_t s = 0; s < profile_.size(); ++s) {
                 profile_[s].barrier_wait += epoch_end - finish_time_[s];

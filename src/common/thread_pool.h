@@ -1,34 +1,31 @@
 /**
  * @file
- * A small persistent worker pool with two fork/join entry points —
+ * A small persistent worker pool with one fork/join entry point —
  * the execution substrate of the parallel cluster engine
- * (docs/DESIGN.md S8): `ParallelFor` (one indivisible task per index,
- * dynamic claiming) and `ParallelForTasks` (resumable tasks on
- * per-thread deques with cost-guided seeding and work stealing).
+ * (docs/DESIGN.md S8): `ParallelForTasks` deals cost-estimated tasks
+ * longest-first onto per-thread deques and lets idle threads steal
+ * queued ones.
  *
  * Design constraints, in order:
- *  1. Determinism-friendly: both entry points are barriers. Every
- *     task of one call completes (and its writes are visible to the
- *     caller) before the call returns; no task of a later call can
- *     overlap a task of an earlier one; and one task index is never
- *     executed by two threads at once — a resumable task migrates
- *     between threads only across slice boundaries, through a mutex.
- *     Callers that give each index a disjoint slice of state
- *     therefore get bit-identical results at any thread count,
- *     including 1.
+ *  1. Determinism-friendly: the entry point is a barrier. Every task
+ *     of one call completes (and its writes are visible to the
+ *     caller) before the call returns, and no task of a later call
+ *     can overlap a task of an earlier one. Each task runs exactly
+ *     once, start to finish, on one thread. Callers that give each
+ *     index a disjoint part of the state therefore get bit-identical
+ *     results at any thread count, including 1.
  *  2. Reusable across epochs: workers are spawned once and parked on
  *     a condition variable between calls, so a simulation issuing
  *     hundreds of thousands of small barriers pays wakeup cost, not
  *     thread-spawn cost.
  *  3. Honest failure: an exception thrown by any task is captured and
  *     rethrown from the entry point on the calling thread after the
- *     barrier (first-capture wins; the remaining indices still run,
+ *     barrier (first-capture wins; the remaining tasks still run,
  *     keeping the pool reusable afterwards).
  */
 #ifndef POD_COMMON_THREAD_POOL_H
 #define POD_COMMON_THREAD_POOL_H
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <exception>
@@ -46,13 +43,13 @@ namespace pod {
  * Persistent fork/join worker pool.
  *
  * `num_threads` counts *executing* threads: the calling thread
- * participates in every ParallelFor, so a pool of N spawns N-1
+ * participates in every ParallelForTasks, so a pool of N spawns N-1
  * workers. A pool of 1 spawns none and runs every task inline on the
  * caller — the degenerate path the serial engines use, with zero
  * synchronization.
  *
  * Not itself thread-safe: one thread drives a given pool (concurrent
- * ParallelFor calls on one pool are a caller bug).
+ * ParallelForTasks calls on one pool are a caller bug).
  */
 class ThreadPool
 {
@@ -72,19 +69,10 @@ class ThreadPool
     int NumThreads() const { return num_threads_; }
 
     /**
-     * Run task(0) .. task(count - 1), each exactly once, distributed
-     * over the pool; returns only when all have completed (the
-     * barrier). Indices are claimed dynamically, so per-index
-     * ordering across threads is unspecified — tasks must not depend
-     * on each other. Rethrows the first exception a task raised.
-     */
-    void ParallelFor(int count, const std::function<void(int)>& task);
-
-    /**
-     * One unit of resubmittable work for ParallelForTasks:
-     * `estimated_work` is a relative cost estimate in arbitrary
-     * units used only for scheduling (longest-processing-time-first
-     * seeding) — it never affects which work runs, only where.
+     * One task for ParallelForTasks: `estimated_work` is a relative
+     * cost estimate in arbitrary units used only for scheduling
+     * (longest-processing-time-first seeding) — it never affects
+     * which work runs, only where.
      */
     struct SeededTask
     {
@@ -93,37 +81,27 @@ class ThreadPool
     };
 
     /**
-     * Work-stealing counterpart of ParallelFor for *resumable* tasks.
-     * `task(index)` runs one bounded slice of task `index` and
-     * returns true when that task is finished; returning false
-     * requeues it (to the front of the executing thread's own deque,
-     * so the executor continues its chain with locality while the
-     * tail stays exposed to thieves).
+     * Run task(t.index) exactly once for every t in `tasks`; returns
+     * only when all have completed (the barrier). Tasks must not
+     * depend on each other.
      *
      * Scheduling: tasks are sorted by descending `estimated_work`
      * (stable, so ties keep caller order) and dealt greedily onto the
-     * least-loaded per-thread deque (LPT) so the fattest task starts
+     * least-loaded per-thread deque (LPT), so the fattest task starts
      * first instead of last. An owner pops its own deque from the
      * front; a thread whose deque is empty steals from the back of
-     * another's (Chase-Lev orientation, mutex-guarded — slice
-     * granularity is coarse enough that lock cost is noise and the
-     * mutex keeps the handoff trivially race-free under TSan).
+     * another's (Chase-Lev orientation, mutex-guarded — tasks are
+     * coarse enough that lock cost is noise, and the mutex keeps the
+     * handoff trivially race-free under TSan).
      *
-     * Contract (the determinism story, docs/DESIGN.md S8.4):
-     *  - every task index runs until its callable returns true;
-     *  - slices of one index never overlap in time — each task exists
-     *    exactly once in the system (queued or executing), so its
-     *    slice sequence is serialized no matter which threads run it,
-     *    and each cross-thread migration is ordered by a deque mutex;
-     *  - a slice that throws counts as finished (never requeued);
-     *    the first exception is rethrown after the barrier, all other
-     *    tasks still complete, and the pool stays reusable — same
-     *    semantics as ParallelFor. With num_threads == 1 (or a single
-     *    task) everything runs inline on the caller in seeded order
-     *    and exceptions propagate directly.
+     * A task that throws counts as finished; the first exception is
+     * rethrown after the barrier, all other tasks still run, and the
+     * pool stays reusable. With num_threads == 1 (or a single task)
+     * everything runs inline on the caller in seeded order and
+     * exceptions propagate directly.
      */
     void ParallelForTasks(const std::vector<SeededTask>& tasks,
-                          const std::function<bool(int)>& task);
+                          const std::function<void(int)>& task);
 
     /**
      * Convenience clamp for a thread-count knob: 0 (or less) means
@@ -135,11 +113,12 @@ class ThreadPool
     /**
      * Toggle per-thread wall-clock profiling (docs/OBSERVABILITY.md).
      * When on, every epoch splits each executing thread's time into
-     * own-work execution (`busy`), stolen-slice execution
-     * (`steal_busy`, ParallelForTasks only) and end-of-epoch idle
-     * (`barrier_wait` — from its last task finishing to the epoch's
-     * last task finishing). When off (default), no clock is read.
-     * Call only between epochs, from the driving thread.
+     * running tasks seeded onto its own deque (`busy`), running tasks
+     * stolen from another thread's deque (`steal_busy`) and
+     * end-of-epoch idle (`barrier_wait` — from its last task
+     * finishing to the epoch's last task finishing). When off
+     * (default), no clock is read. Call only between epochs, from the
+     * driving thread.
      */
     void EnableProfiling(bool on);
 
@@ -148,13 +127,11 @@ class ThreadPool
      * the last ResetProfile(); index 0 is the calling thread.
      * All-zero unless EnableProfiling(true).
      *
-     * Returned by value, copied under the pool mutex: the previous
-     * by-reference accessor handed out a live view that the workers'
-     * end-of-epoch folds mutate, so holding it across a later
-     * ParallelFor / ParallelForTasks round was a data race — easy to
-     * hit under work stealing, where threads leave an epoch at
-     * staggered times. The snapshot is coherent (taken between the
-     * epoch's final fold and the next epoch's first).
+     * Returned by value, copied under the pool mutex: workers fold
+     * into the live profile at the end of every epoch, so a reference
+     * held across a later round would race those folds. The snapshot
+     * is coherent (taken between one epoch's final fold and the
+     * next epoch's first).
      */
     std::vector<telemetry::ThreadStat> Profile() const;
 
@@ -170,14 +147,11 @@ class ThreadPool
 
     void WorkerLoop(int slot);
 
-    /** Claim indices until the epoch's range is exhausted. */
-    void RunTasks(int slot);
-
     /**
      * Pop own deque front / steal from others' backs until no queued
-     * work remains anywhere (ParallelForTasks epochs).
+     * task remains anywhere.
      */
-    void RunStealTasks(int slot);
+    void RunTasks(int slot);
 
     const int num_threads_;
 
@@ -185,22 +159,18 @@ class ThreadPool
     std::condition_variable work_cv_;   ///< workers wait for an epoch
     std::condition_variable done_cv_;   ///< caller waits for workers
 
-    // Epoch state (guarded by mu_ except where noted).
+    // Epoch state (guarded by mu_).
     const std::function<void(int)>* task_ = nullptr;
-    int count_ = 0;
-    std::atomic<int> next_{0};          ///< next unclaimed index
     int workers_done_ = 0;              ///< workers finished this epoch
     long epoch_ = 0;
-    bool stealing_ = false;             ///< current epoch's mode
     bool stop_ = false;
     std::exception_ptr error_;
 
-    // Work-stealing state. The caller seeds `deques_` under mu_
-    // before publishing the epoch (workers acquire mu_ to observe the
-    // epoch, ordering the seed writes); afterwards each deque is
-    // touched only under its own mutex. `sorted_` and `load_` are
-    // caller-only scratch kept hot across epochs.
-    const std::function<bool(int)>* resumable_ = nullptr;
+    // The caller seeds `deques_` under mu_ before publishing the
+    // epoch (workers acquire mu_ to observe the epoch, ordering the
+    // seed writes); afterwards each deque is touched only under its
+    // own mutex. `sorted_` and `load_` are caller-only scratch kept
+    // hot across epochs.
     std::vector<std::unique_ptr<StealDeque>> deques_;
     std::vector<SeededTask> sorted_;
     std::vector<double> load_;

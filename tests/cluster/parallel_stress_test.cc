@@ -2,9 +2,10 @@
  * @file
  * Randomized serial/parallel equivalence stress: ~50 seeded random
  * fleet configurations (replica count, heterogeneous GPU specs,
- * arrival rate, router, watermark on/off, preempt mode, scheduler
- * budget, thread count) each run through the serial oracle and the
- * parallel engine and compared field-by-field, bit-exactly.
+ * arrival rate, router, watermark on/off, preempt mode, prefix cache
+ * on/off, scheduler budget, thread count) each run through the serial
+ * oracle and the parallel engine and compared field-by-field,
+ * bit-exactly.
  *
  * Every configuration is generated from common/rng.h with a fixed
  * seed, and the full configuration is attached to the assertion
@@ -48,8 +49,8 @@ struct StressConfig
     int num_requests = 0;
     double qps = 0.0;  // 0 = offline (all arrivals at t=0)
     int threads = 2;
-    bool single_shot = false;  // advance mode (PR 6 baseline path)
-    int slice_events = 64;     // <= 0 = unbounded
+    bool prefix_cache = false;
+    int sessions = 0;  // session-trace size when prefix_cache is on
 
     std::string
     Describe() const
@@ -65,8 +66,8 @@ struct StressConfig
            << " memory_fraction=" << memory_fraction
            << " requests=" << num_requests << " qps=" << qps
            << " threads=" << threads
-           << " mode=" << (single_shot ? "single-shot" : "steal")
-           << " slice=" << slice_events;
+           << " prefix_cache=" << prefix_cache
+           << " sessions=" << sessions;
         return os.str();
     }
 };
@@ -98,18 +99,14 @@ DrawConfig(Rng& rng, int index)
     c.num_requests = static_cast<int>(rng.UniformInt(6, 20));
     c.qps = rng.Bernoulli(0.5) ? rng.UniformReal(1.0, 8.0) : 0.0;
     c.threads = static_cast<int>(rng.UniformInt(2, 5));
-    // Mostly the work-stealing default (with a spread of slice
-    // granularities, including pathological 1 and unbounded 0); keep
-    // a single-shot minority so the PR 6 path stays under stress too.
-    // Drawn from a side stream so these scheduling-only knobs don't
-    // shift the main stream's trace draws (which are shaped to keep
-    // the preemption-coverage canary below satisfied).
+    // Prefix caching (the allocator rejects it under swap), drawn
+    // from a side stream so it doesn't shift the main stream's draws
+    // (which are shaped to keep the preemption-coverage canary below
+    // satisfied).
     Rng side(c.cluster_seed ^ 0x51ED5EEDull);
-    c.single_shot = side.Bernoulli(0.25);
-    if (!c.single_shot) {
-        constexpr int kSlices[] = {1, 2, 16, 64, 0};
-        c.slice_events =
-            kSlices[static_cast<size_t>(side.UniformInt(0, 4))];
+    c.prefix_cache = !c.swap_mode && side.Bernoulli(0.5);
+    if (c.prefix_cache) {
+        c.sessions = static_cast<int>(side.UniformInt(3, 8));
     }
     (void)index;
     return c;
@@ -138,6 +135,7 @@ BuildFleet(const StressConfig& c)
     base.context_bucket = 4096;
     base.decode_bs_bucket = 32;
     base.chunk_bucket = 256;
+    base.prefix_cache_enabled = c.prefix_cache;
     if (c.watermark) {
         base.kv_policy = serve::KvPolicy::kWatermark;
         base.kv_preempt_mode = c.swap_mode
@@ -148,9 +146,6 @@ BuildFleet(const StressConfig& c)
     ClusterConfig fleet = ClusterConfig::Homogeneous(base,
                                                      c.num_replicas);
     fleet.seed = c.cluster_seed;
-    fleet.advance_mode = c.single_shot ? AdvanceMode::kSingleShot
-                                       : AdvanceMode::kWorkStealing;
-    fleet.advance_slice_events = c.slice_events;
     for (int r = 0; r < c.num_replicas; ++r) {
         fleet.replicas[static_cast<size_t>(r)].gpu =
             PickGpu(c.gpu_picks[static_cast<size_t>(r)]);
@@ -183,7 +178,24 @@ BuildTrace(const StressConfig& c, Rng& rng)
         }
         trace.push_back(r);
     }
-    return trace;
+    if (!c.prefix_cache) return trace;
+    // Cache-on configs serve a small multi-turn session trace so radix
+    // hits actually occur. They still consumed the main-stream draws
+    // above, so every later config's inputs are unchanged; the session
+    // trace comes from a side stream keyed by the cluster seed.
+    serve::SessionWorkloadSpec spec = serve::SessionWorkloadSpec::Chat();
+    spec.num_system_prompts = 2;
+    spec.system_tokens_min = 256;
+    spec.system_tokens_max = 1024;
+    spec.user_mean = 128.0;
+    spec.user_max = 512;
+    spec.decode_mean = 64.0;
+    spec.decode_max = 256;
+    spec.min_turns = 2;
+    spec.max_turns = 3;
+    spec.think_time_mean = 1.0;
+    Rng side(c.cluster_seed ^ 0x5E5510E5ull);
+    return serve::GenerateSessionTrace(spec, c.sessions, c.qps, side);
 }
 
 SchedulerFactory
@@ -198,6 +210,7 @@ TEST(ParallelStressTest, RandomConfigsSerialParallelEquivalent)
 {
     Rng rng(kSuiteSeed);
     int preempting_configs = 0;
+    int prefix_hit_configs = 0;
     for (int i = 0; i < kNumConfigs; ++i) {
         StressConfig c = DrawConfig(rng, i);
         // The trace draws ride the same suite RNG, after the config
@@ -219,6 +232,7 @@ TEST(ParallelStressTest, RandomConfigsSerialParallelEquivalent)
         ExpectReportsEqual(expected, got);
         ExpectStatesEqual(oracle, parallel);
         if (expected.preemptions > 0) ++preempting_configs;
+        if (expected.fleet.prefix_hits > 0) ++prefix_hit_configs;
         if (HasFatalFailure()) return;
     }
     // The sweep must actually exercise the preemption lifecycle, not
@@ -226,6 +240,9 @@ TEST(ParallelStressTest, RandomConfigsSerialParallelEquivalent)
     // config preempts, this suite has silently lost its hardest
     // coverage.
     EXPECT_GT(preempting_configs, 3);
+    // Likewise the prefix cache: configs that enable it must see real
+    // radix hits, or the net only checks the cache's miss path.
+    EXPECT_GE(prefix_hit_configs, 3);
 }
 
 }  // namespace

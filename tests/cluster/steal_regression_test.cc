@@ -2,14 +2,11 @@
  * @file
  * Serial-oracle determinism net for the work-stealing advance phase
  * (docs/DESIGN.md S8.4): heterogeneous golden scenarios, run under
- * every router at thread counts {1, 2, 4, hardware_concurrency} and
- * slice sizes {1, 64, unbounded}, must produce reports and
- * per-request completion records that compare *exactly equal* —
- * bit-identical doubles — to the single-threaded single-shot oracle.
- * Slice size and advance mode are scheduling knobs: they may only
- * change which thread runs which part of a replica's window, never
- * any simulated quantity. A single-shot control at every thread
- * count pins the PR 6 baseline path alongside.
+ * every router at thread counts {1, 2, 4, hardware_concurrency}, must
+ * produce reports and per-request completion records that compare
+ * *exactly equal* — bit-identical doubles — to the 1-thread engine.
+ * LPT seeding and stealing only change which thread advances which
+ * replica, never any simulated quantity.
  */
 #include "cluster/cluster_engine.h"
 
@@ -79,9 +76,8 @@ HeterogeneousFleet()
 /**
  * An offline burst on an 8-replica mixed H100/A6000 fleet: every
  * request queued at t = 0, so the whole drain is one advance window
- * — the deepest slice chains and the most steal opportunities the
- * engine ever sees, mirroring bench_cluster_scaling's heterogeneous
- * axis in miniature.
+ * with the most uneven per-replica work the engine ever sees,
+ * mirroring bench_cluster_scaling's heterogeneous axis in miniature.
  */
 Scenario
 OfflineBurstMixedFleet()
@@ -109,8 +105,7 @@ OfflineBurstMixedFleet()
 }
 
 /** Watermark overload: preemption/restore lifecycle transitions must
- * survive slicing at every granularity (a slice boundary can land
- * between an eviction and its re-admission). */
+ * come out identical whichever thread advances the replica. */
 Scenario
 WatermarkOverloadFleet()
 {
@@ -129,62 +124,22 @@ WatermarkOverloadFleet()
     return s;
 }
 
-/** One engine variant of the sweep. */
-struct Variant
-{
-    AdvanceMode mode;
-    int threads;
-    int slice_events;  // <= 0 = unbounded
-};
-
-std::vector<Variant>
-Variants()
-{
-    const int hw = ThreadPool::ResolveThreads(0);
-    std::vector<Variant> variants;
-    // Slice-size sweep at 2 and 4 threads (1 and 64 force requeues;
-    // 0 = whole-window slices, the pure-LPT schedule).
-    for (int threads : {2, 4}) {
-        for (int slice : {1, 64, 0}) {
-            variants.push_back(
-                {AdvanceMode::kWorkStealing, threads, slice});
-        }
-    }
-    // Degenerate and oversubscribed thread counts at default slicing.
-    variants.push_back({AdvanceMode::kWorkStealing, 1, 64});
-    variants.push_back({AdvanceMode::kWorkStealing, hw, 64});
-    // Single-shot control: the PR 6 baseline stays pinned too.
-    for (int threads : {2, 4}) {
-        variants.push_back({AdvanceMode::kSingleShot, threads, 0});
-    }
-    return variants;
-}
-
 void
 RunScenarioSweep(const Scenario& scenario)
 {
+    const int hw = ThreadPool::ResolveThreads(0);
     for (const std::string& router : RouterNames()) {
         SCOPED_TRACE("router " + router);
-        ClusterConfig oracle_config = scenario.config;
-        oracle_config.advance_mode = AdvanceMode::kSingleShot;
-        ClusterEngine oracle(oracle_config,
+        ClusterEngine oracle(scenario.config,
                              Sarathi(scenario.token_budget),
                              MakeRouter(router), /*num_threads=*/1);
         ClusterMetricsReport expected = oracle.Run(scenario.trace);
 
-        for (const Variant& v : Variants()) {
-            SCOPED_TRACE(::testing::Message()
-                         << (v.mode == AdvanceMode::kWorkStealing
-                                 ? "steal"
-                                 : "single-shot")
-                         << " threads " << v.threads << " slice "
-                         << v.slice_events);
-            ClusterConfig config = scenario.config;
-            config.advance_mode = v.mode;
-            config.advance_slice_events = v.slice_events;
-            ClusterEngine parallel(config,
+        for (int threads : {1, 2, 4, hw}) {
+            SCOPED_TRACE(::testing::Message() << "threads " << threads);
+            ClusterEngine parallel(scenario.config,
                                    Sarathi(scenario.token_budget),
-                                   MakeRouter(router), v.threads);
+                                   MakeRouter(router), threads);
             ClusterMetricsReport got = parallel.Run(scenario.trace);
             ExpectReportsEqual(expected, got);
             ExpectStatesEqual(oracle, parallel);
@@ -193,61 +148,37 @@ RunScenarioSweep(const Scenario& scenario)
 }
 
 TEST(StealRegressionTest,
-     HeterogeneousFleetBitIdenticalAcrossModesAndSlices)
+     HeterogeneousFleetBitIdenticalAcrossThreadCounts)
 {
     RunScenarioSweep(HeterogeneousFleet());
 }
 
 TEST(StealRegressionTest,
-     OfflineBurstMixedFleetBitIdenticalAcrossModesAndSlices)
+     OfflineBurstMixedFleetBitIdenticalAcrossThreadCounts)
 {
     RunScenarioSweep(OfflineBurstMixedFleet());
 }
 
 TEST(StealRegressionTest,
-     WatermarkOverloadBitIdenticalAcrossModesAndSlices)
+     WatermarkOverloadBitIdenticalAcrossThreadCounts)
 {
     RunScenarioSweep(WatermarkOverloadFleet());
 }
 
-TEST(StealRegressionTest, SliceSizeOneMatchesUnboundedExactly)
-{
-    // Direct steal-vs-steal pin with maximal scheduling divergence:
-    // slice 1 (a deque round-trip per Step) against whole-window
-    // slices, same fleet, same threads.
-    Scenario s = OfflineBurstMixedFleet();
-    ClusterConfig fine = s.config;
-    fine.advance_slice_events = 1;
-    ClusterConfig unbounded = s.config;
-    unbounded.advance_slice_events = 0;
-    ClusterEngine a(fine, Sarathi(s.token_budget),
-                    MakeRouter("least-outstanding"), 4);
-    ClusterEngine b(unbounded, Sarathi(s.token_budget),
-                    MakeRouter("least-outstanding"), 4);
-    ClusterMetricsReport ra = a.Run(s.trace);
-    ClusterMetricsReport rb = b.Run(s.trace);
-    ExpectReportsEqual(ra, rb);
-    ExpectStatesEqual(a, b);
-}
-
 TEST(StealRegressionTest, TracingIsBitIdenticalUnderStealing)
 {
-    // The sim-time trace must also be schedule-independent: recorders
-    // are written by whichever thread runs a slice, so a migrating
-    // chain writes one replica's recorder from several threads —
-    // serialized by the slice contract. Compare merged trace bytes
-    // against the serial oracle's.
+    // The sim-time trace must also be schedule-independent: a
+    // replica's recorder is written by whichever thread advances it
+    // in a given round, so across rounds one recorder is written from
+    // several threads — ordered by the pool barrier. Compare merged
+    // trace bytes against the 1-thread engine's.
     Scenario s = HeterogeneousFleet();
-    ClusterConfig oracle_config = s.config;
-    oracle_config.advance_mode = AdvanceMode::kSingleShot;
-    ClusterEngine oracle(oracle_config, Sarathi(s.token_budget),
+    ClusterEngine oracle(s.config, Sarathi(s.token_budget),
                          MakeRouter("round-robin"), 1);
     oracle.EnableTracing();
     (void)oracle.Run(s.trace);
 
-    ClusterConfig config = s.config;
-    config.advance_slice_events = 1;
-    ClusterEngine parallel(config, Sarathi(s.token_budget),
+    ClusterEngine parallel(s.config, Sarathi(s.token_budget),
                            MakeRouter("round-robin"), 4);
     parallel.EnableTracing();
     (void)parallel.Run(s.trace);
