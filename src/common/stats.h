@@ -27,6 +27,9 @@ class SampleStats
     /** Add many samples. */
     void AddAll(const std::vector<double>& values);
 
+    /** Pre-size storage for n samples in total (no samples added). */
+    void Reserve(size_t n) { samples_.reserve(n); }
+
     /** Number of samples recorded. */
     size_t Count() const { return samples_.size(); }
 

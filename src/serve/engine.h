@@ -19,10 +19,11 @@
  *
  * Queue and KV occupancy are tracked incrementally (PR 3): running
  * counters maintained at Submit/admission/preemption/progress
- * transitions plus a finished-prefix index over the request states
- * make Snapshot() and NextEventTime() O(1) and keep each scheduling
- * pass O(active requests), so cost scales with in-flight work rather
- * than trace length (docs/DESIGN.md S8).
+ * transitions make Snapshot() and NextEventTime() O(1). Scheduling is
+ * O(scheduled requests) per iteration: the scheduler keeps its own
+ * sub-phase index of the admitted requests (SubPhaseIndex), so cost
+ * scales with the batch rather than with in-flight work or trace
+ * length (docs/DESIGN.md S8).
  */
 #ifndef POD_SERVE_ENGINE_H
 #define POD_SERVE_ENGINE_H
@@ -455,11 +456,13 @@ class ServingEngine
     double swap_bandwidth_ = 1.0;
 
     // ---- incremental queue/KV accounting (PR 3) ----
-    /** states_[i] for i < active_begin_ are all finished. */
+    /** states_[i] for i < active_begin_ are all finished; bounds the
+     *  scheduler's index rebuild. */
     size_t active_begin_ = 0;
 
-    /** One past the highest index ever admitted (FCFS watermark);
-     *  bounds the scheduler's batch-building scans. */
+    /** One past the highest index ever admitted (FCFS watermark),
+     *  handed back to the scheduler exactly as it returned it; Reset()
+     *  zeroes it, which makes the scheduler rebuild its index. */
     size_t admitted_end_ = 0;
 
     /**

@@ -27,6 +27,14 @@ CollectMetrics(const std::vector<RequestState>& states, double makespan,
             total_batch_tokens / static_cast<double>(iterations);
     }
 
+    // Exact-capacity sample stores: growth by doubling would leave up
+    // to half of the (largest) TBT buffer as slack.
+    size_t tbt_samples = 0;
+    for (const auto& state : states) tbt_samples += state.tbt.size();
+    report.ttft.Reserve(states.size());
+    report.latency.Reserve(states.size());
+    report.tbt.Reserve(tbt_samples);
+
     int stalled_200 = 0;
     int stalled_500 = 0;
     for (const auto& state : states) {

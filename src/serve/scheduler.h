@@ -23,6 +23,7 @@
 #ifndef POD_SERVE_SCHEDULER_H
 #define POD_SERVE_SCHEDULER_H
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -108,6 +109,94 @@ struct SchedulingDecision
     std::vector<Transition> preemptions;
 };
 
+/**
+ * Index of the admitted and preempted requests by sub-phase, owned by
+ * one scheduler and kept in step with the request phases so a
+ * scheduling pass touches only the requests it schedules, restores or
+ * evicts — O(scheduled) rather than O(admitted) per iteration
+ * (docs/DESIGN.md S8).
+ *
+ * Three index-sorted lists of request-state indices:
+ *  - preempted: Preempted* phases, awaiting re-admission;
+ *  - prefilling: Running with the prefill target not yet reached;
+ *  - decoding: Running, prefill done, output tokens pending.
+ *
+ * The scheduler moves entries at its own transitions (admission,
+ * restore, preemption). The engine's transitions — a prefill chunk
+ * completing a prompt, a request finishing — only ever touch the
+ * requests of the previous batch, which are a prefix of prefilling
+ * and a prefix of decoding, so Sync() folds them in by re-reading
+ * just those prefixes.
+ */
+class SubPhaseIndex
+{
+  public:
+    /**
+     * Bring the index up to date with `requests`. Rebuilds from the
+     * request phases over [active_begin, min(admitted_end, size))
+     * whenever `admitted_end` differs from the value the last
+     * Commit() recorded (a reset request vector, or a single-shot
+     * caller), otherwise folds in the previous batch's engine-side
+     * transitions.
+     */
+    void Sync(const std::vector<RequestState>& requests,
+              size_t active_begin, size_t admitted_end);
+
+    /**
+     * Admission and re-admission, FCFS with head-of-line blocking:
+     * preempted requests and queued arrivals are tried in index
+     * (= arrival) order, stopping at the first one the allocator
+     * rejects or the first queued request that has not arrived.
+     * Raises `admitted_end` past every admitted index and clamps it
+     * to requests.size().
+     */
+    void PlanAdmissions(double now, std::vector<RequestState>& requests,
+                        KvAllocator& kv, size_t& admitted_end,
+                        SchedulingDecision& decision);
+
+    /**
+     * Schedule decodes front to back up to `max_num_seqs`, growing
+     * each reservation by one token and evicting from the back of the
+     * decoding set when the pool cannot grow (see scheduler.cc).
+     */
+    void ScheduleDecodes(std::vector<RequestState>& requests,
+                         KvAllocator& kv, int max_num_seqs,
+                         SchedulingDecision& decision);
+
+    /** Requests awaiting prefill, in index order. A batch's prefill
+     * chunks must be a prefix of this list. */
+    const std::vector<int>& Prefilling() const { return prefilling_; }
+
+    /** Record the returned watermark and the batch the engine will
+     * apply; call once at the end of every Next(). */
+    void Commit(const SchedulingDecision& decision, size_t admitted_end);
+
+  private:
+    void Rebuild(const std::vector<RequestState>& requests,
+                 size_t active_begin, size_t admitted_end);
+
+    /** File a Running request under prefilling or decoding. */
+    void Place(const RequestState& state, int req_index);
+
+    void Preempt(std::vector<RequestState>& requests, int req_index,
+                 KvAllocator& kv, SchedulingDecision& decision);
+
+    std::vector<int> preempted_;
+    std::vector<int> prefilling_;
+    std::vector<int> decoding_;
+
+    /** No request below this index is queued (admission cursor). */
+    size_t queued_begin_ = 0;
+
+    /** Watermark the last Commit() returned; 0 matches the empty
+     * index of a fresh request vector. */
+    size_t committed_end_ = 0;
+
+    /** Prefill chunks / decodes of the last committed batch. */
+    size_t last_prefills_ = 0;
+    size_t last_decodes_ = 0;
+};
+
 /** Scheduler interface. */
 class Scheduler
 {
@@ -127,6 +216,13 @@ class Scheduler
      * structurally (an admitted or restored request always
      * contributes prefill or decode work to the batch).
      *
+     * The in-tree schedulers keep a SubPhaseIndex across calls, so
+     * between two calls the caller may change request states only by
+     * applying the returned decision (preemption bookkeeping, prefill
+     * and decode progress, finishing) and by appending queued
+     * requests; anything else needs a rebuild (a changed
+     * `admitted_end`, or the single-shot overload).
+     *
      * @param now current time (requests with arrival_time > now are
      *        invisible).
      * @param requests all request states (the scheduler moves
@@ -134,20 +230,21 @@ class Scheduler
      * @param kv allocation policy for admission control, incremental
      *        growth and eviction.
      * @param active_begin first index that may be unfinished: every
-     *        request before it has finished, so scans start there and
-     *        stay O(active) on long traces (docs/DESIGN.md S8). Pass
-     *        0 to scan everything (no default: default arguments on
-     *        virtuals bind by static type and would silently pin
-     *        overrides to the base value).
+     *        request before it has finished. Read only when the
+     *        scheduler rebuilds its index, which then scans
+     *        [active_begin, admitted_end). Pass 0 to scan everything
+     *        (no default: default arguments on virtuals bind by static
+     *        type and would silently pin overrides to the base value).
      * @param admitted_end in/out watermark one past the highest index
      *        ever admitted. Admission is strictly FCFS, so every
      *        admitted (running or preempted) request sits below it
-     *        and batch-building scans stop there instead of walking
-     *        the full submitted backlog — the difference between
-     *        O(active) and O(trace) per iteration when a long trace
-     *        is queued up front. The scheduler raises it as it
-     *        admits. The caller owns the value across iterations and
-     *        must reset it to 0 with its request vector.
+     *        and every request at or past it is queued. The scheduler
+     *        raises it as it admits and clamps it to requests.size().
+     *        The caller owns the value across iterations, passes back
+     *        exactly what the previous call returned, and resets it
+     *        to 0 with its request vector; any other value (such as
+     *        the single-shot overload's) makes the scheduler rebuild
+     *        its index from the request phases below it.
      */
     virtual SchedulingDecision Next(double now,
                                     std::vector<RequestState>& requests,
@@ -155,14 +252,16 @@ class Scheduler
                                     size_t& admitted_end) = 0;
 
     /**
-     * Single-shot convenience (tests, exploratory callers): scans
-     * with a throwaway watermark spanning the whole vector.
+     * Single-shot convenience (tests, exploratory callers): passes an
+     * unknown watermark (past the end of any vector), so the
+     * scheduler rebuilds from the request phases on every call and
+     * sees any edit the caller made to them since the last one.
      */
     SchedulingDecision
     Next(double now, std::vector<RequestState>& requests, KvAllocator& kv,
          size_t active_begin)
     {
-        size_t admitted_end = requests.size();
+        size_t admitted_end = std::numeric_limits<size_t>::max();
         return Next(now, requests, kv, active_begin, admitted_end);
     }
 
@@ -192,6 +291,7 @@ class VllmScheduler : public Scheduler
   private:
     int max_batched_tokens_;
     int max_num_seqs_;
+    SubPhaseIndex index_;
 };
 
 /** Sarathi-Serve scheduler (chunked prefills, hybrid batching). */
@@ -218,6 +318,7 @@ class SarathiScheduler : public Scheduler
   private:
     int token_budget_;
     int max_num_seqs_;
+    SubPhaseIndex index_;
 };
 
 }  // namespace pod::serve
