@@ -202,11 +202,11 @@ ServingEngine::Reset()
     prefill_tokens_processed_ = 0;
     decode_tokens_processed_ = 0;
     long kv_tokens = config_.KvTokenCapacity();
-    kv_ = MakeKvAllocator(config_.kv_policy,
-                          std::max<long>(1, kv_tokens / config_.kv_block_size),
-                          config_.kv_block_size, config_.kv_watermark,
-                          config_.kv_preempt_mode,
-                          config_.prefix_cache_enabled);
+    kv_ = std::make_unique<KvAllocator>(
+        config_.kv_policy,
+        std::max<long>(1, kv_tokens / config_.kv_block_size),
+        config_.kv_block_size, config_.kv_watermark,
+        config_.kv_preempt_mode, config_.prefix_cache_enabled);
     kv_bytes_per_token_ =
         config_.model.KvBytesPerTokenPerGpu(config_.tensor_parallel);
     swap_bandwidth_ =
@@ -436,9 +436,8 @@ ServingEngine::Step()
         prefill_tokens_processed_ += p.chunk_len;
         POD_ASSERT(state.prefilled <= state.PrefillTarget());
         if (state.PrefillDone()) {
-            // The prompt's KV is fully on-device now: a caching
-            // allocator promotes its blocks into the prefix cache
-            // (no-op for cacheless policies).
+            // The prompt's KV is fully on-device now: with the prefix
+            // cache on, the allocator promotes its blocks into it.
             kv_->OnPrefillComplete(state);
             // The completing iteration emits one output token: the
             // first for a fresh prompt, the next for a request whose

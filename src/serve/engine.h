@@ -10,12 +10,12 @@
  * Sarathi+POD), memoized over bucketed batch signatures so
  * thousand-request traces stay tractable (docs/DESIGN.md S5.4).
  *
- * KV allocation is pluggable (docs/DESIGN.md S2): the scheduler
- * admits, grows and evicts through a KvAllocator, and the engine
- * applies the lifecycle consequences — recompute-preempted requests
- * re-run their prefill, swap-preempted requests charge PCIe transfer
- * time both ways. The conservative policy (default) reproduces the
- * pre-redesign behaviour bit-identically.
+ * KV allocation is a configured policy (docs/DESIGN.md S2): the
+ * scheduler admits, grows and evicts through the KvAllocator, and the
+ * engine applies the lifecycle consequences — recompute-preempted
+ * requests re-run their prefill, swap-preempted requests charge PCIe
+ * transfer time both ways. The conservative policy (default)
+ * reproduces the pre-redesign behaviour bit-identically.
  *
  * Queue and KV occupancy are tracked incrementally (PR 3): running
  * counters maintained at Submit/admission/preemption/progress
@@ -68,8 +68,9 @@ struct ServingConfig
     KvPolicy kv_policy = KvPolicy::kConservative;
 
     /**
-     * Fraction of the KV pool kept free across admissions
-     * (kWatermark only; vLLM's `watermark`).
+     * Fraction of the KV pool kept free across admissions (vLLM's
+     * `watermark`). Must be in [0, 1) under either policy; only
+     * kWatermark applies it.
      */
     double kv_watermark = 0.01;
 
@@ -77,11 +78,11 @@ struct ServingConfig
     PreemptMode kv_preempt_mode = PreemptMode::kRecompute;
 
     /**
-     * Shared-prefix KV reuse (docs/DESIGN.md S2.6): wrap the KV
-     * policy in the radix prefix cache so admissions serve cached
+     * Shared-prefix KV reuse (docs/DESIGN.md S2.6): give the KV
+     * allocator a radix prefix cache so admissions serve cached
      * prompt blocks instead of re-prefilling them. Only requests
      * with hashable prompts (Request::prompt) can hit; off (the
-     * default) is bit-identical to the unwrapped policy. Requires
+     * default) is bit-identical to a cacheless run. Requires
      * kRecompute preemption under kWatermark.
      */
     bool prefix_cache_enabled = false;

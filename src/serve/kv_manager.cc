@@ -34,18 +34,6 @@ BlockKvManager::BlocksFor(int tokens) const
 }
 
 bool
-BlockKvManager::CanReserve(int tokens) const
-{
-    return BlocksFor(tokens) <= FreeBlocks();
-}
-
-bool
-BlockKvManager::Reserve(int request_id, int tokens)
-{
-    return ReserveBlocks(request_id, BlocksFor(tokens));
-}
-
-bool
 BlockKvManager::ReserveBlocks(int request_id, long blocks)
 {
     POD_CHECK_ARG(blocks >= 0, "block count must be >= 0");
@@ -85,16 +73,6 @@ BlockKvManager::Free(int request_id)
     used_blocks_ -= blocks;
     reserved_.erase(it);
     return blocks;
-}
-
-bool
-BlockKvManager::ReserveShared(long blocks)
-{
-    POD_CHECK_ARG(blocks >= 0, "block count must be >= 0");
-    if (blocks > FreeBlocks()) return false;
-    shared_blocks_ += blocks;
-    used_blocks_ += blocks;
-    return true;
 }
 
 void

@@ -5,9 +5,9 @@
  * BlockKvManager is the raw block ledger: it tracks which request
  * holds how many blocks and nothing else. Admission *policy* — when a
  * reservation may happen, whether requests grow incrementally, who
- * gets evicted under pressure — lives in the KvAllocator
- * implementations (serve/kv_allocator.h), which are the only code
- * that should construct one (docs/DESIGN.md S2).
+ * gets evicted under pressure — lives in KvAllocator
+ * (serve/kv_allocator.h), the only code that should construct one
+ * (docs/DESIGN.md S2).
  */
 #ifndef POD_SERVE_KV_MANAGER_H
 #define POD_SERVE_KV_MANAGER_H
@@ -22,7 +22,7 @@ namespace pod::serve {
  * Tracks KV block allocation per request. Pure accounting: every
  * operation is a ledger update; misuse (double reserve, double free,
  * freeing an unknown request) is fatal rather than silently absorbed,
- * so policy bugs in the allocators surface at the call site.
+ * so policy bugs in the allocator surface at the call site.
  */
 class BlockKvManager
 {
@@ -40,15 +40,9 @@ class BlockKvManager
     /** Blocks needed to hold `tokens` tokens; `tokens` must be >= 0. */
     long BlocksFor(int tokens) const;
 
-    /** True if a reservation of `tokens` tokens would fit now. */
-    bool CanReserve(int tokens) const;
-
-    /** Reserve blocks for a request; false if out of capacity. */
-    bool Reserve(int request_id, int tokens);
-
     /**
-     * Reserve an explicit block count (swap-in restores a preempted
-     * request's exact footprint). False if out of capacity.
+     * Reserve `blocks` blocks for a request that holds none (fatal if
+     * it already does). False, and no change, if out of capacity.
      */
     bool ReserveBlocks(int request_id, long blocks);
 
@@ -71,13 +65,10 @@ class BlockKvManager
     // ---- shared account (prefix cache; docs/DESIGN.md S2.6) ----
     // Cached prompt blocks are owned by no single request: they sit
     // in a shared account that counts toward UsedBlocks() like any
-    // reservation. The PrefixCache tracks *which* blocks these are
-    // and who references them; this ledger only guarantees the counts
-    // can never leak or double-free (every transfer is guarded).
-
-    /** Move `blocks` from the free pool into the shared account;
-     * false (and no change) if they do not fit. */
-    bool ReserveShared(long blocks);
+    // reservation and is filled only by TransferToShared(). The
+    // PrefixCache tracks *which* blocks these are and who references
+    // them; this ledger only guarantees the counts can never leak or
+    // double-free (every transfer is guarded).
 
     /** Return `blocks` from the shared account to the free pool.
      * Fatal if the account holds fewer (double-free guard). */

@@ -22,8 +22,8 @@
  * never freed out from under a live request by construction.
  *
  * The cache is pure hash bookkeeping: the block *counts* it caches
- * live in BlockKvManager's shared account, and the owning allocator
- * (serve/prefix/prefix_allocator.h) keeps the two in lockstep
+ * live in BlockKvManager's shared account, and the owning KvAllocator
+ * (serve/kv_allocator.h) keeps the two in lockstep
  * (CachedBlocks() == pool.SharedBlocks(), audited by the randomized
  * CoW oracle test).
  */

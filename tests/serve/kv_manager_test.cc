@@ -22,10 +22,11 @@ TEST(BlockKvManagerTest, ReserveAndFree)
     EXPECT_EQ(kv.BlocksFor(1), 1);
     EXPECT_EQ(kv.BlocksFor(16), 1);
     EXPECT_EQ(kv.BlocksFor(17), 2);
-    EXPECT_TRUE(kv.Reserve(1, 100));  // 7 blocks
+    EXPECT_TRUE(kv.ReserveBlocks(1, kv.BlocksFor(100)));  // 7 blocks
     EXPECT_EQ(kv.UsedBlocks(), 7);
-    EXPECT_FALSE(kv.CanReserve(64));  // needs 4, only 3 free
-    EXPECT_TRUE(kv.Reserve(2, 48));   // exactly 3 blocks
+    EXPECT_FALSE(kv.ReserveBlocks(2, kv.BlocksFor(64)));  // 4 > 3 free
+    EXPECT_EQ(kv.Held(2), 0);  // a failed reserve leaves no entry
+    EXPECT_TRUE(kv.ReserveBlocks(2, kv.BlocksFor(48)));  // exactly 3
     EXPECT_EQ(kv.FreeBlocks(), 0);
     EXPECT_EQ(kv.Free(1), 7);
     EXPECT_EQ(kv.UsedBlocks(), 3);
@@ -47,7 +48,7 @@ TEST(BlockKvManagerTest, ZeroTokenReservationIsTracked)
     // A zero-token reservation holds zero blocks but still owns an
     // entry: Free() works exactly once, like any other request.
     BlockKvManager kv(10, 16);
-    EXPECT_TRUE(kv.Reserve(7, 0));
+    EXPECT_TRUE(kv.ReserveBlocks(7, kv.BlocksFor(0)));
     EXPECT_EQ(kv.Held(7), 0);
     EXPECT_EQ(kv.UsedBlocks(), 0);
     EXPECT_EQ(kv.Free(7), 0);
@@ -57,7 +58,7 @@ TEST(BlockKvManagerTest, GrowAndHeld)
 {
     BlockKvManager kv(10, 16);
     EXPECT_EQ(kv.Held(1), 0);  // no reservation yet
-    ASSERT_TRUE(kv.Reserve(1, 32));  // 2 blocks
+    ASSERT_TRUE(kv.ReserveBlocks(1, kv.BlocksFor(32)));  // 2 blocks
     EXPECT_EQ(kv.Held(1), 2);
     EXPECT_TRUE(kv.Grow(1, 3));
     EXPECT_EQ(kv.Held(1), 5);
@@ -79,14 +80,15 @@ TEST(BlockKvManagerTest, ReserveBlocksExactFootprint)
 TEST(BlockKvManagerDeathTest, DoubleReserve)
 {
     BlockKvManager kv(10, 16);
-    ASSERT_TRUE(kv.Reserve(1, 16));
-    EXPECT_EXIT(kv.Reserve(1, 16), ::testing::ExitedWithCode(1), "FATAL");
+    ASSERT_TRUE(kv.ReserveBlocks(1, 1));
+    EXPECT_EXIT(kv.ReserveBlocks(1, 1), ::testing::ExitedWithCode(1),
+                "already holds a reservation");
 }
 
 TEST(BlockKvManagerDeathTest, DoubleFree)
 {
     BlockKvManager kv(10, 16);
-    ASSERT_TRUE(kv.Reserve(1, 16));
+    ASSERT_TRUE(kv.ReserveBlocks(1, 1));
     kv.Free(1);
     EXPECT_EXIT(kv.Free(1), ::testing::ExitedWithCode(1), "FATAL");
 }
@@ -107,8 +109,8 @@ TEST(BlockKvManagerDeathTest, NegativeTokenCount)
 {
     BlockKvManager kv(10, 16);
     EXPECT_EXIT(kv.BlocksFor(-1), ::testing::ExitedWithCode(1), "FATAL");
-    EXPECT_EXIT(kv.Reserve(1, -32), ::testing::ExitedWithCode(1),
-                "FATAL");
+    EXPECT_EXIT(kv.ReserveBlocks(1, -2), ::testing::ExitedWithCode(1),
+                "block count must be >= 0");
 }
 
 TEST(BlockKvManagerDeathTest, TokenCapacityOverflow)
@@ -129,12 +131,17 @@ TEST(BlockKvManagerDeathTest, GrowWithoutReservation)
 
 TEST(BlockKvManagerSharedTest, ReserveAndReleaseShared)
 {
+    // Blocks enter the shared account only through a request's
+    // private reservation.
     BlockKvManager kv(10, 16);
-    EXPECT_TRUE(kv.ReserveShared(4));
+    ASSERT_TRUE(kv.ReserveBlocks(1, 4));
+    kv.TransferToShared(1, 4);
     EXPECT_EQ(kv.SharedBlocks(), 4);
     EXPECT_EQ(kv.UsedBlocks(), 4);  // shared counts as used
-    EXPECT_FALSE(kv.ReserveShared(7));  // only 6 free
-    EXPECT_EQ(kv.SharedBlocks(), 4);    // failed reserve is a no-op
+    EXPECT_EQ(kv.Free(1), 0);       // ...and outlives its donor
+    EXPECT_EQ(kv.SharedBlocks(), 4);
+    EXPECT_FALSE(kv.ReserveBlocks(2, 7));  // only 6 free
+    EXPECT_EQ(kv.SharedBlocks(), 4);       // failed reserve is a no-op
     kv.ReleaseShared(3);
     EXPECT_EQ(kv.SharedBlocks(), 1);
     EXPECT_EQ(kv.FreeBlocks(), 9);
@@ -174,15 +181,16 @@ TEST(BlockKvManagerSharedTest, ShrinkDropsDuplicatePrivateBlocks)
 TEST(BlockKvManagerSharedDeathTest, SharedOverflowAndDoubleFree)
 {
     BlockKvManager kv(10, 16);
-    ASSERT_TRUE(kv.ReserveShared(4));
+    ASSERT_TRUE(kv.ReserveBlocks(1, 4));
+    kv.TransferToShared(1, 4);
     // Releasing more than the account holds is a double-free.
     EXPECT_EXIT(kv.ReleaseShared(5), ::testing::ExitedWithCode(1),
-                "FATAL");
+                "shared account holds fewer blocks than released");
     // Transferring more than the request holds is an overflow.
-    ASSERT_TRUE(kv.ReserveBlocks(1, 2));
-    EXPECT_EXIT(kv.TransferToShared(1, 3), ::testing::ExitedWithCode(1),
-                "FATAL");
-    EXPECT_EXIT(kv.Shrink(1, 3), ::testing::ExitedWithCode(1), "FATAL");
+    ASSERT_TRUE(kv.ReserveBlocks(2, 2));
+    EXPECT_EXIT(kv.TransferToShared(2, 3), ::testing::ExitedWithCode(1),
+                "request holds fewer blocks than transferred");
+    EXPECT_EXIT(kv.Shrink(2, 3), ::testing::ExitedWithCode(1), "FATAL");
     // Transfers from a request that never reserved are fatal too.
     EXPECT_EXIT(kv.TransferToShared(9, 1), ::testing::ExitedWithCode(1),
                 "FATAL");

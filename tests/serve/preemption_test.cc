@@ -2,9 +2,10 @@
  * @file
  * Watermark admission and preemption semantics (docs/DESIGN.md S2):
  * allocator-level unit tests for the vLLM-style watermark gate,
- * incremental decode growth and swap bookkeeping, plus engine-level
- * tests that an overloaded replica preempts, restores progress
- * (recompute) or charges PCIe transfer time (swap), drains to
+ * incremental decode growth, swap bookkeeping and the argument checks
+ * both policies share, plus engine-level tests that an overloaded
+ * replica preempts, restores progress (recompute) or charges PCIe
+ * transfer time (swap), drains to
  * Done(), and keeps every incremental lifecycle counter equal to a
  * brute-force rescan at every step (mirroring
  * tests/serve/serve_incremental_test.cc).
@@ -38,7 +39,8 @@ MakeState(int id, int prefill_tokens, int decode_tokens)
 TEST(WatermarkKvAllocatorTest, AdmissionBlockedAtWatermark)
 {
     // 100 blocks, 10 reserved as the watermark.
-    WatermarkKvAllocator kv(100, 16, 0.10, PreemptMode::kRecompute);
+    KvAllocator kv(KvPolicy::kWatermark, 100, 16, 0.10,
+                   PreemptMode::kRecompute, false);
     RequestState a = MakeState(0, 1280, 100);  // prompt = 80 blocks
     EXPECT_TRUE(kv.TryAdmit(a));
     a.phase = Phase::kRunning;
@@ -61,17 +63,20 @@ TEST(WatermarkKvAllocatorTest, AdmitsOnPromptWhereConservativeBlocks)
     // preemption-heavy regime.
     RequestState state = MakeState(0, 320, 1600);  // 20 + 100 blocks
 
-    ConservativeKvAllocator conservative(64, 16);
+    KvAllocator conservative(KvPolicy::kConservative, 64, 16, 0.0,
+                             PreemptMode::kRecompute, false);
     EXPECT_FALSE(conservative.TryAdmit(state));
 
-    WatermarkKvAllocator watermark(64, 16, 0.01, PreemptMode::kRecompute);
+    KvAllocator watermark(KvPolicy::kWatermark, 64, 16, 0.01,
+                          PreemptMode::kRecompute, false);
     EXPECT_TRUE(watermark.TryAdmit(state));
     EXPECT_EQ(watermark.Held(0), 20);  // prompt blocks only
 }
 
 TEST(WatermarkKvAllocatorTest, AppendAllocatesAtBlockBoundaries)
 {
-    WatermarkKvAllocator kv(10, 16, 0.0, PreemptMode::kRecompute);
+    KvAllocator kv(KvPolicy::kWatermark, 10, 16, 0.0,
+                   PreemptMode::kRecompute, false);
     RequestState state = MakeState(0, 16, 64);  // prompt = 1 block
     ASSERT_TRUE(kv.TryAdmit(state));
     state.phase = Phase::kRunning;
@@ -98,7 +103,8 @@ TEST(WatermarkKvAllocatorTest, AppendAllocatesAtBlockBoundaries)
 
 TEST(WatermarkKvAllocatorTest, CanAppendFalseOnlyWhenPoolExhausted)
 {
-    WatermarkKvAllocator kv(3, 16, 0.0, PreemptMode::kRecompute);
+    KvAllocator kv(KvPolicy::kWatermark, 3, 16, 0.0,
+                   PreemptMode::kRecompute, false);
     RequestState a = MakeState(0, 16, 64);
     RequestState b = MakeState(1, 32, 64);
     ASSERT_TRUE(kv.TryAdmit(a));
@@ -119,7 +125,8 @@ TEST(WatermarkKvAllocatorTest, CanAppendFalseOnlyWhenPoolExhausted)
 
 TEST(WatermarkKvAllocatorTest, SwapEvictRestoresExactFootprint)
 {
-    WatermarkKvAllocator kv(10, 16, 0.0, PreemptMode::kSwap);
+    KvAllocator kv(KvPolicy::kWatermark, 10, 16, 0.0,
+                   PreemptMode::kSwap, false);
     RequestState state = MakeState(0, 48, 64);  // 3 blocks
     ASSERT_TRUE(kv.TryAdmit(state));
     state.phase = Phase::kRunning;
@@ -141,14 +148,68 @@ TEST(WatermarkKvAllocatorTest, SwapEvictRestoresExactFootprint)
 
 TEST(WatermarkKvAllocatorTest, WatermarkHeadroomTracksFreePool)
 {
-    WatermarkKvAllocator kv(100, 16, 0.10, PreemptMode::kRecompute);
+    KvAllocator kv(KvPolicy::kWatermark, 100, 16, 0.10,
+                   PreemptMode::kRecompute, false);
     EXPECT_DOUBLE_EQ(kv.WatermarkHeadroom(), 0.90);
     RequestState state = MakeState(0, 1280, 16);  // 80 blocks
     ASSERT_TRUE(kv.TryAdmit(state));
     EXPECT_NEAR(kv.WatermarkHeadroom(), 0.10, 1e-12);
 
-    ConservativeKvAllocator conservative(100, 16);
+    KvAllocator conservative(KvPolicy::kConservative, 100, 16, 0.0,
+                             PreemptMode::kRecompute, false);
     EXPECT_DOUBLE_EQ(conservative.WatermarkHeadroom(), 1.0);
+}
+
+TEST(KvAllocatorTest, ConservativeDiscardsAValidWatermark)
+{
+    KvAllocator kv(KvPolicy::kConservative, 100, 16, 0.5,
+                   PreemptMode::kSwap, false);
+    EXPECT_EQ(kv.WatermarkFraction(), 0.0);
+    EXPECT_EQ(kv.preempt_mode(), PreemptMode::kRecompute);
+    RequestState state = MakeState(0, 1280, 320);  // 80 + 20 blocks
+    EXPECT_TRUE(kv.TryAdmit(state));  // the whole pool, no reserve
+    EXPECT_EQ(kv.FreeBlocks(), 0);
+    kv.AuditLedger();
+}
+
+TEST(KvAllocatorDeathTest, WatermarkOutOfRangeUnderEitherPolicy)
+{
+    // The range is checked before the conservative policy discards
+    // the value, so a bad config fails the same way under both.
+    for (KvPolicy policy : {KvPolicy::kConservative, KvPolicy::kWatermark}) {
+        for (double watermark :
+             {-0.01, 1.0, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+            EXPECT_EXIT(KvAllocator(policy, 100, 16, watermark,
+                                    PreemptMode::kRecompute, false),
+                        ::testing::ExitedWithCode(1),
+                        "kv_watermark must be in \\[0, 1\\)");
+        }
+    }
+    // The engine builds its allocator from the config at construction.
+    ServingConfig config;
+    config.kv_watermark = 1.5;
+    EXPECT_EXIT(ServingEngine(config, std::make_unique<SarathiScheduler>(512)),
+                ::testing::ExitedWithCode(1),
+                "kv_watermark must be in \\[0, 1\\)");
+}
+
+TEST(KvAllocatorDeathTest, ConservativeEvictIsFatal)
+{
+    KvAllocator kv(KvPolicy::kConservative, 100, 16, 0.0,
+                   PreemptMode::kRecompute, false);
+    RequestState state = MakeState(0, 160, 16);
+    ASSERT_TRUE(kv.TryAdmit(state));
+    EXPECT_DEATH(kv.Evict(state, PreemptMode::kRecompute),
+                 "can never need an eviction");
+}
+
+TEST(KvAllocatorDeathTest, CacheWithTheCacheOffIsFatal)
+{
+    KvAllocator kv(KvPolicy::kWatermark, 100, 16, 0.01,
+                   PreemptMode::kRecompute, false);
+    EXPECT_EQ(kv.PrefixStats(), nullptr);
+    EXPECT_EXIT(kv.Cache(), ::testing::ExitedWithCode(1),
+                "the prefix cache is disabled");
 }
 
 // ---- engine-level preemption semantics ----
@@ -289,8 +350,6 @@ BruteForceExpectations(const ServingEngine& engine,
 {
     const auto& states = engine.States();
     const KvAllocator& alloc = engine.Allocator();
-    const auto* watermark =
-        dynamic_cast<const WatermarkKvAllocator*>(&alloc);
     int waiting = 0;
     int running = 0;
     int preempted = 0;
@@ -317,8 +376,7 @@ BruteForceExpectations(const ServingEngine& engine,
             pending_blocks += alloc.BlocksFor(state.PrefillTarget());
         } else if (state.phase == Phase::kPreemptedSwapped) {
             ++preempted;
-            ASSERT_NE(watermark, nullptr);
-            pending_blocks += watermark->SwappedBlocks(state.request.id);
+            pending_blocks += alloc.SwappedBlocks(state.request.id);
         } else {
             if (state.request.arrival_time <= engine.Now()) ++waiting;
             pending_blocks += alloc.BlocksFor(

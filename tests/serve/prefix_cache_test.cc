@@ -2,9 +2,10 @@
  * @file
  * Unit tests for the shared-prefix KV reuse subsystem
  * (docs/DESIGN.md S2.6): chained block hashing, the radix prefix
- * cache's match/insert/split/evict mechanics, the prefix-caching
- * allocator's admission accounting, and a randomized copy-on-write
- * oracle that audits every ledger invariant after every operation.
+ * cache's match/insert/split/evict mechanics, the KV allocator's
+ * admission accounting with the cache on, and a randomized
+ * copy-on-write oracle that audits every ledger invariant after every
+ * operation.
  */
 #include "serve/prefix/prefix_cache.h"
 
@@ -14,8 +15,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "serve/kv_allocator.h"
 #include "serve/prefix/block_hash.h"
-#include "serve/prefix/prefix_allocator.h"
 
 namespace pod::serve::prefix {
 namespace {
@@ -278,14 +279,14 @@ TEST(PrefixCacheDeathTest, DoubleAcquireIsFatal)
                 "FATAL");
 }
 
-// ---- prefix-caching allocator ----
+// ---- KvAllocator with the prefix cache on ----
 
-std::unique_ptr<PrefixCachingKvAllocator>
+std::unique_ptr<KvAllocator>
 WatermarkAlloc(long total_blocks, double watermark = 0.0)
 {
-    return std::make_unique<PrefixCachingKvAllocator>(
-        KvPolicy::kWatermark, total_blocks, kBlock, watermark,
-        PreemptMode::kRecompute);
+    return std::make_unique<KvAllocator>(KvPolicy::kWatermark, total_blocks,
+                                         kBlock, watermark,
+                                         PreemptMode::kRecompute, true);
 }
 
 TEST(PrefixAllocatorTest, SecondAdmissionHitsTheCachedPrefix)
@@ -411,9 +412,10 @@ TEST(PrefixAllocatorTest, RecomputeReadmissionRematchesItsOwnBlocks)
 
 TEST(PrefixAllocatorDeathTest, SwapPreemptionIsRejected)
 {
-    EXPECT_EXIT(PrefixCachingKvAllocator(KvPolicy::kWatermark, 64, kBlock,
-                                         0.01, PreemptMode::kSwap),
-                ::testing::ExitedWithCode(1), "FATAL");
+    EXPECT_EXIT(KvAllocator(KvPolicy::kWatermark, 64, kBlock, 0.01,
+                            PreemptMode::kSwap, true),
+                ::testing::ExitedWithCode(1),
+                "prefix caching requires recompute preemption");
     auto alloc = WatermarkAlloc(64);
     Request a = SegmentedRequest(1, {{ContentId("sys", 1), 64}});
     RequestState sa = QueuedState(a);
@@ -560,8 +562,8 @@ TEST(PrefixCowOracleTest, ConservativeBaseLifecycle)
     constexpr long kPool = 40;
     constexpr int kRequests = 24;
     Rng rng(0x5EED);
-    PrefixCachingKvAllocator alloc(KvPolicy::kConservative, kPool, kBlock,
-                                   0.0, PreemptMode::kRecompute);
+    KvAllocator alloc(KvPolicy::kConservative, kPool, kBlock, 0.0,
+                      PreemptMode::kRecompute, true);
 
     std::vector<RequestState> states;
     for (int i = 0; i < kRequests; ++i) {

@@ -10,7 +10,8 @@
  * across scheduler x KV policy x preempt mode x prefix cache x
  * sequence cap, and must agree at every step on the StepResult, the
  * Snapshot(), the scheduling decision and every request state, and
- * on the final report bit for bit. Canaries prove the matrix reaches
+ * on the final report bit for bit; both engines' KV allocators pass
+ * AuditLedger() after every step. Canaries prove the matrix reaches
  * the index's edge paths: the sequence cap, back-of-set victims, a
  * front request evicting itself, swap restores and prefix-cache
  * hits.
@@ -565,7 +566,8 @@ Tally(const SchedulingDecision& d, int max_num_seqs, Canaries& canaries)
 
 /**
  * Step a reference-scheduled and an index-scheduled engine in
- * lockstep over one seeded trace, stopping at the first divergence.
+ * lockstep over one seeded trace, auditing both allocators' ledgers
+ * after every step and stopping at the first divergence.
  */
 void
 RunLockstep(const Case& c, uint64_t seed, Canaries& canaries)
@@ -591,6 +593,9 @@ RunLockstep(const Case& c, uint64_t seed, Canaries& canaries)
         ExpectDecisionsEqual(ref.last, idx.last);
         ExpectSnapshotsEqual(a.Snapshot(), b.Snapshot());
         ExpectStatesEqual(a.States(), b.States());
+        // Fatal on any ledger, swap-footprint or cache drift.
+        a.Allocator().AuditLedger();
+        b.Allocator().AuditLedger();
         if (::testing::Test::HasFailure()) return;
         Tally(ref.last, c.max_num_seqs, canaries);
     }
@@ -746,8 +751,10 @@ class SingleShotPair
 
     std::vector<RequestState> ref_states;
     std::vector<RequestState> idx_states;
-    WatermarkKvAllocator ref_kv{200, 16, 0.0, PreemptMode::kRecompute};
-    WatermarkKvAllocator idx_kv{200, 16, 0.0, PreemptMode::kRecompute};
+    KvAllocator ref_kv{KvPolicy::kWatermark, 200, 16, 0.0,
+                       PreemptMode::kRecompute, false};
+    KvAllocator idx_kv{KvPolicy::kWatermark, 200, 16, 0.0,
+                       PreemptMode::kRecompute, false};
 
   private:
     ReferenceScheduler reference_{true, 64, 256};

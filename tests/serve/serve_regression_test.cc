@@ -8,11 +8,13 @@
  * incremental-accounting refactor (running counters, finished-prefix
  * index) must not change a single scheduling or timing decision.
  *
- * The KvAllocator redesign (PR 5) routes these runs through
- * ConservativeKvAllocator — the default policy — which must
- * reproduce the same goldens: the lifecycle API is
- * behaviour-preserving until the watermark policy is opted into.
- * ConservativePolicyIsDefaultAndGolden pins that explicitly.
+ * The KvAllocator redesign (PR 5) routes these runs through the
+ * conservative policy — the default — which must reproduce the same
+ * goldens: the lifecycle API is behaviour-preserving until the
+ * watermark policy is opted into. ConservativePolicyIsDefaultAndGolden
+ * pins that explicitly, and the allocator-path goldens at the end pin
+ * watermark recompute/swap preemption and the prefix cache under both
+ * policies.
  *
  * Since PR 8 the exact goldens pin the EngineCore::kExactOracle sim
  * core; the default analytic core is compared against the oracle run
@@ -25,7 +27,9 @@
 #include <memory>
 
 #include "../golden_scenarios.h"
+#include "common/rng.h"
 #include "serve/scheduler.h"
+#include "serve/trace.h"
 
 namespace pod::serve {
 namespace {
@@ -174,6 +178,132 @@ TEST(ServeRegressionTest, AnalyticMatchesOracleWithinBands)
                 o.latency.Mean() * kBand);
     EXPECT_NEAR(a.latency.Max(), o.latency.Max(),
                 o.latency.Max() * kMaxBand);
+}
+
+// ---- allocator-path goldens ----
+//
+// The tests above only reach the conservative policy. These pin the
+// watermark policy's recompute and swap preemption paths and the
+// prefix cache under both policies with the same exact doubles, so a
+// behaviour change inside the KV allocator cannot hide behind the
+// equivalence nets (serial vs parallel, cache-on vs cache-off).
+
+/** The overload shape: a pool of a few thousand tokens that the
+ * watermark policy overcommits and then preempts from. */
+ServingConfig
+TightConfig(PreemptMode mode)
+{
+    ServingConfig config;
+    config.model = model::ModelConfig::Llama3_8B();
+    config.tensor_parallel = 2;
+    config.backend = core::Backend::kFaSerial;
+    config.attn_options.sim.core = gpusim::EngineCore::kExactOracle;
+    config.memory_fraction = 0.0958;
+    config.kv_policy = KvPolicy::kWatermark;
+    config.kv_preempt_mode = mode;
+    config.kv_bucket = 4096;
+    config.context_bucket = 4096;
+    config.decode_bs_bucket = 32;
+    return config;
+}
+
+/** Multi-turn chat sessions over two shared system prompts, loaded so
+ * that the tight pool hits and evicts cached prefixes under both
+ * policies and preempts under the watermark policy. */
+std::vector<Request>
+GoldenSessionTrace()
+{
+    SessionWorkloadSpec spec = SessionWorkloadSpec::Chat();
+    spec.num_system_prompts = 2;
+    spec.system_tokens_min = 256;
+    spec.system_tokens_max = 768;
+    spec.user_max = 256;
+    spec.decode_mean = 256.0;
+    spec.decode_max = 512;
+    spec.min_turns = 2;
+    spec.max_turns = 3;
+    Rng rng(23);
+    return GenerateSessionTrace(spec, 12, 16.0, rng);
+}
+
+/** The figures each allocator-path golden pins. */
+struct AllocatorGolden
+{
+    long iterations;
+    double makespan;
+    double ttft_p99;
+    double tbt_max;
+    long preemptions_recompute;
+    long preemptions_swap;
+    double swap_time_total;
+    long prefix_hits;
+    long prefix_hit_blocks;
+    long prefix_tokens_saved;
+    long prefix_evicted_blocks;
+};
+
+void
+ExpectGolden(const ServingEngine& engine, const MetricsReport& m,
+             const AllocatorGolden& want)
+{
+    EXPECT_EQ(m.latency.Count(), engine.States().size());  // all drained
+    EXPECT_EQ(m.iterations, want.iterations);
+    EXPECT_EQ(m.makespan, want.makespan);
+    EXPECT_EQ(m.ttft.Percentile(99), want.ttft_p99);
+    EXPECT_EQ(m.tbt.Max(), want.tbt_max);
+    EXPECT_EQ(m.preemptions_recompute, want.preemptions_recompute);
+    EXPECT_EQ(m.preemptions_swap, want.preemptions_swap);
+    EXPECT_EQ(engine.SwapTimeTotal(), want.swap_time_total);
+    EXPECT_EQ(m.prefix_hits, want.prefix_hits);
+    EXPECT_EQ(m.prefix_hit_blocks, want.prefix_hit_blocks);
+    EXPECT_EQ(m.prefix_tokens_saved, want.prefix_tokens_saved);
+    EXPECT_EQ(m.prefix_evicted_blocks, want.prefix_evicted_blocks);
+}
+
+TEST(ServeRegressionTest, WatermarkRecomputeOverloadIsGolden)
+{
+    ServingEngine engine(TightConfig(PreemptMode::kRecompute),
+                         std::make_unique<SarathiScheduler>(512));
+    MetricsReport m = engine.Run(golden::OverloadTrace());
+    ExpectGolden(engine, m,
+                 {2072l, 0x1.8f53691b72153p+3, 0x1.e9da7dbfc567p+2,
+                  0x1.186513c601a1p+1, 8l, 0l, 0x0p+0, 0l, 0l, 0l, 0l});
+}
+
+TEST(ServeRegressionTest, WatermarkSwapOverloadIsGolden)
+{
+    ServingEngine engine(TightConfig(PreemptMode::kSwap),
+                         std::make_unique<SarathiScheduler>(512));
+    MetricsReport m = engine.Run(golden::OverloadTrace());
+    ExpectGolden(engine, m,
+                 {2070l, 0x1.8bbc090bbe4d8p+3, 0x1.e373db0515da4p+2,
+                  0x1.1433b7f6cffd3p+1, 0l, 8l, 0x1.853b3dc3afedap-6, 0l,
+                  0l, 0l, 0l});
+}
+
+TEST(ServeRegressionTest, PrefixCacheWatermarkSessionsAreGolden)
+{
+    ServingConfig config = TightConfig(PreemptMode::kRecompute);
+    config.prefix_cache_enabled = true;
+    ServingEngine engine(config, std::make_unique<SarathiScheduler>(512));
+    MetricsReport m = engine.Run(GoldenSessionTrace());
+    ExpectGolden(engine, m,
+                 {3008l, 0x1.7a3c310a969a7p+4, 0x1.274c4b3b88c08p+3,
+                  0x1.ba03b9acc669p-1, 10l, 0l, 0x0p+0, 25l, 1233l, 19728l,
+                  1387l});
+}
+
+TEST(ServeRegressionTest, PrefixCacheConservativeSessionsAreGolden)
+{
+    ServingConfig config = TightConfig(PreemptMode::kRecompute);
+    config.kv_policy = KvPolicy::kConservative;
+    config.prefix_cache_enabled = true;
+    ServingEngine engine(config, std::make_unique<SarathiScheduler>(512));
+    MetricsReport m = engine.Run(GoldenSessionTrace());
+    ExpectGolden(engine, m,
+                 {3384l, 0x1.7a3c310a969a7p+4, 0x1.59d631cc0bae8p+3,
+                  0x1.5242b3d0b81p-6, 0l, 0l, 0x0p+0, 16l, 726l, 11616l,
+                  1178l});
 }
 
 }  // namespace
